@@ -17,29 +17,12 @@ import pytest
 
 from benchmarks.common import ResultBoard, run_once
 from repro.analysis import Table
-from repro.fs import build_cluster
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
+from repro.fs.factory import SYSTEMS
+from repro.runspec import RunSpec
 
-SYSTEMS = ["pvfs2", "nfs3", "redbud-original", "redbud-delayed"]
 
-WORKLOADS = {
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn-32K": lambda: XcdnWorkload(
-        file_size=32 * 1024, seed_files_per_client=25
-    ),
-    "xcdn-1M": lambda: XcdnWorkload(
-        file_size=1024 * 1024, seed_files_per_client=8
-    ),
-    "npb-bt": lambda: NpbBtIoWorkload(),
-}
+#: Preset names (``repro.runspec.PRESETS``) of the five benchmarks.
+WORKLOADS = ["fileserver", "varmail", "webproxy", "xcdn-32K", "xcdn-1M", "npb-bt"]
 
 DURATION = 2.5
 NUM_CLIENTS = 7
@@ -52,15 +35,14 @@ def board():
     return _board
 
 
-@pytest.mark.parametrize("workload_name", list(WORKLOADS))
+@pytest.mark.parametrize("workload_name", WORKLOADS)
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_fig3_cell(benchmark, board, system, workload_name):
-    def run():
-        cluster = build_cluster(system, num_clients=NUM_CLIENTS, seed=11)
-        workload = WORKLOADS[workload_name]()
-        return cluster.run_workload(workload, duration=DURATION, warmup=0.3)
-
-    result = run_once(benchmark, run)
+    spec = RunSpec(
+        system=system, workload=workload_name, clients=NUM_CLIENTS,
+        seed=11, duration=DURATION, warmup=0.3,
+    )
+    result = run_once(benchmark, lambda: spec.run().result)
     assert result.ops_completed > 0, f"{system}/{workload_name} did no work"
     board.put(workload_name, system, result)
 
@@ -68,7 +50,7 @@ def test_fig3_cell(benchmark, board, system, workload_name):
 def test_fig3_report_and_shape(benchmark, board):
     run_once(benchmark, lambda: None)  # keep this report under --benchmark-only
     table = Table(
-        ["workload"] + SYSTEMS,
+        ["workload", *SYSTEMS],
         title=(
             "Fig. 3 -- performance normalised to original Redbud "
             f"({NUM_CLIENTS} clients, {DURATION}s virtual)"

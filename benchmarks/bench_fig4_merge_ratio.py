@@ -17,16 +17,10 @@ One cell per (file size, configuration); the report asserts:
 
 import pytest
 
-from benchmarks.common import ResultBoard, run_once
+from benchmarks.common import REDBUD_CONFIGS, ResultBoard, run_once
+from benchmarks.common import run_xcdn_cell, size_label
 from repro.analysis import Table
-from repro.fs import ClusterConfig, RedbudCluster
-from repro.workloads import XcdnWorkload
 
-CONFIGS = {
-    "original": ClusterConfig.original_redbud,
-    "delayed": ClusterConfig.delayed_commit,
-    "delegation": ClusterConfig.space_delegation_config,
-}
 FILE_SIZES = [32 * 1024, 64 * 1024, 1024 * 1024]
 DURATION = 2.5
 
@@ -38,23 +32,11 @@ def board():
     return _board
 
 
-def size_label(size):
-    return f"{size // 1024}KB"
-
-
 @pytest.mark.parametrize("file_size", FILE_SIZES, ids=size_label)
-@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("config_name", list(REDBUD_CONFIGS))
 def test_fig4_cell(benchmark, board, config_name, file_size):
     def run():
-        cluster = RedbudCluster(
-            CONFIGS[config_name](num_clients=7), seed=17
-        )
-        workload = XcdnWorkload(
-            file_size=file_size,
-            seed_files_per_client=max(6, (256 * 1024) // file_size),
-            threads_per_client=8,
-        )
-        result = cluster.run_workload(workload, duration=DURATION, warmup=0.3)
+        _, result = run_xcdn_cell(config_name, file_size, 17, DURATION)
         return result.extras["merge_stats"]
 
     stats = run_once(benchmark, run)
@@ -72,7 +54,7 @@ def test_fig4_report_and_shape(benchmark, board):
     for size in FILE_SIZES:
         label = size_label(size)
         ratios = {
-            name: board.get(label, name).merge_ratio for name in CONFIGS
+            name: board.get(label, name).merge_ratio for name in REDBUD_CONFIGS
         }
         table.add_row(
             label,

@@ -15,18 +15,12 @@ import os
 
 import pytest
 
-from benchmarks.common import ResultBoard, run_once
+from benchmarks.common import REDBUD_CONFIGS, ResultBoard, run_once
+from benchmarks.common import run_xcdn_cell, size_label
 from repro.analysis import Table, scatter
 from repro.analysis.traceio import dump_trace
-from repro.fs import ClusterConfig, RedbudCluster
 from repro.storage.blktrace import BlkTrace, SeekAnalysis, placement_analysis
-from repro.workloads import XcdnWorkload
 
-CONFIGS = {
-    "original": ClusterConfig.original_redbud,
-    "delayed": ClusterConfig.delayed_commit,
-    "delegation": ClusterConfig.space_delegation_config,
-}
 FILE_SIZES = [32 * 1024, 1024 * 1024]
 DURATION = 2.0
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -37,10 +31,6 @@ _board = ResultBoard()
 @pytest.fixture(scope="module")
 def board():
     return _board
-
-
-def size_label(size):
-    return f"{size // 1024}KB"
 
 
 def write_analysis(trace: BlkTrace, since: float) -> SeekAnalysis:
@@ -54,18 +44,10 @@ def write_analysis(trace: BlkTrace, since: float) -> SeekAnalysis:
 
 
 @pytest.mark.parametrize("file_size", FILE_SIZES, ids=size_label)
-@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("config_name", list(REDBUD_CONFIGS))
 def test_fig5_cell(benchmark, board, config_name, file_size):
     def run():
-        cluster = RedbudCluster(
-            CONFIGS[config_name](num_clients=7), seed=23
-        )
-        workload = XcdnWorkload(
-            file_size=file_size,
-            seed_files_per_client=max(6, (256 * 1024) // file_size),
-            threads_per_client=8,
-        )
-        result = cluster.run_workload(workload, duration=DURATION, warmup=0.3)
+        cluster, result = run_xcdn_cell(config_name, file_size, 23, DURATION)
         return cluster.blktrace, result.metrics.start_time or 0.0
 
     trace, measure_start = run_once(benchmark, run)

@@ -14,24 +14,10 @@ import pytest
 
 from benchmarks.common import ResultBoard, run_once
 from repro.analysis import Table, dual_series, summarize_pool_samples
-from repro.analysis.timeseries import TimeSeries
-from repro.fs import ClusterConfig, RedbudCluster
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
+from repro.runspec import RunSpec
 
-WORKLOADS = {
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn": lambda: XcdnWorkload(file_size=32 * 1024,
-                                 seed_files_per_client=25),
-    "npb-bt": lambda: NpbBtIoWorkload(),
-}
+#: Preset names (``repro.runspec.PRESETS``), one cell each.
+WORKLOADS = ["varmail", "fileserver", "webproxy", "xcdn-32K", "npb-bt"]
 MAX_THREADS = 9
 DURATION = 3.0
 
@@ -43,14 +29,13 @@ def board():
     return _board
 
 
-@pytest.mark.parametrize("workload_name", list(WORKLOADS))
+@pytest.mark.parametrize("workload_name", WORKLOADS)
 def test_fig6_cell(benchmark, board, workload_name):
     def run():
-        config = ClusterConfig.space_delegation_config(num_clients=7)
-        cluster = RedbudCluster(config, seed=29)
-        cluster.run_workload(
-            WORKLOADS[workload_name](), duration=DURATION, warmup=0.3
-        )
+        cluster = RunSpec(
+            workload=workload_name, clients=7, seed=29,
+            duration=DURATION, warmup=0.3,
+        ).run().cluster
         return [client.thread_pool.samples for client in cluster.clients]
 
     samples_per_client = run_once(benchmark, run)
@@ -82,7 +67,7 @@ def test_fig6_report_and_shape(benchmark, board):
 
     # Render two panels the way the paper plots them: thread count (left
     # scale) against commit queue length (right scale) over time.
-    for name in ("varmail", "xcdn"):
+    for name in ("varmail", "xcdn-32K"):
         samples = board.get(name, "samples")[0]
         print()
         print(
@@ -100,7 +85,7 @@ def test_fig6_report_and_shape(benchmark, board):
 
     # Heavy-update workloads drive the pool well above one thread and
     # the thread count tracks the queue (positive correlation).
-    for name in ("xcdn", "fileserver", "webproxy", "varmail"):
+    for name in ("xcdn-32K", "fileserver", "webproxy", "varmail"):
         s = summaries[name]
         assert s.max_threads > 1, f"{name} never grew its pool"
         assert s.thread_queue_correlation > 0.25, (
@@ -109,7 +94,7 @@ def test_fig6_report_and_shape(benchmark, board):
         )
 
     # The bulk-update personalities reach the pool maximum...
-    assert summaries["xcdn"].max_threads == MAX_THREADS
+    assert summaries["xcdn-32K"].max_threads == MAX_THREADS
     assert summaries["fileserver"].max_threads >= MAX_THREADS - 2
 
     # ...while NPB, with its rare large writes, stays at a single

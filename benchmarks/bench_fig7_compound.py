@@ -19,7 +19,7 @@ from benchmarks.common import ResultBoard, run_once
 from repro.analysis import Table
 from repro.fs import ClusterConfig, RedbudCluster
 from repro.mds.server import MdsParameters
-from repro.workloads import XcdnWorkload
+from repro.runspec import make_workload
 
 DAEMONS = [1, 8, 16]
 DEGREES = [1, 3, 6]
@@ -44,9 +44,7 @@ def test_fig7_cell(benchmark, board, daemons, degree):
             mds=MdsParameters(num_daemons=daemons),
         )
         cluster = RedbudCluster(config, seed=37)
-        workload = XcdnWorkload(
-            file_size=32 * 1024, seed_files_per_client=25
-        )
+        workload = make_workload("xcdn-32K")
         result = cluster.run_workload(workload, duration=DURATION, warmup=0.3)
         per_client = result.bytes_per_second / NUM_CLIENTS / (1024 * 1024)
         return {

@@ -12,6 +12,39 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.fs import ClusterConfig, RedbudCluster
+from repro.workloads import XcdnWorkload
+
+#: The three Redbud configurations Figs. 4 and 5 compare.
+REDBUD_CONFIGS = {
+    "original": ClusterConfig.original_redbud,
+    "delayed": ClusterConfig.delayed_commit,
+    "delegation": ClusterConfig.space_delegation_config,
+}
+
+
+def size_label(size: int) -> str:
+    return f"{size // 1024}KB"
+
+
+def run_xcdn_cell(
+    config_name: str, file_size: int, seed: int, duration: float
+) -> _t.Tuple[RedbudCluster, _t.Any]:
+    """One Figs. 4/5 cell: 7 clients of 8-thread xcdn at ``file_size``
+    (at least 256 KiB seeded per client) on a ``REDBUD_CONFIGS`` entry."""
+    cluster = RedbudCluster(
+        REDBUD_CONFIGS[config_name](num_clients=7), seed=seed
+    )
+    workload = XcdnWorkload(
+        file_size=file_size,
+        seed_files_per_client=max(6, (256 * 1024) // file_size),
+        threads_per_client=8,
+    )
+    return cluster, cluster.run_workload(
+        workload, duration=duration, warmup=0.3
+    )
+
+
 BENCH_KW = dict(rounds=1, iterations=1, warmup_rounds=0)
 
 

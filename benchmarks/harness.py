@@ -57,39 +57,6 @@ DEFAULT_OUT = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 # Sweep specs
 # ---------------------------------------------------------------------------
 
-#: Workload factory specs: name -> (class name, constructor kwargs).
-#: Kept as plain data so a cell config is JSON-serialisable (the cache
-#: key hashes it) and picklable (the executor ships it to workers).
-WORKLOAD_SPECS: _t.Dict[str, _t.Tuple[str, _t.Dict[str, _t.Any]]] = {
-    "fileserver": ("FileserverWorkload", {"seed_files_per_client": 15}),
-    "varmail": ("VarmailWorkload", {"seed_files_per_client": 15}),
-    "webproxy": ("WebproxyWorkload", {"seed_files_per_client": 20}),
-    "xcdn-32K": (
-        "XcdnWorkload",
-        {"file_size": 32 * 1024, "seed_files_per_client": 25},
-    ),
-    "xcdn-64K": (
-        "XcdnWorkload",
-        {"file_size": 64 * 1024, "seed_files_per_client": 15},
-    ),
-    "xcdn-1M": (
-        "XcdnWorkload",
-        {"file_size": 1024 * 1024, "seed_files_per_client": 8},
-    ),
-    # Lean per-personality footprint for the client-count scaling sweep:
-    # at 10k clients the default seed corpus and thread count would
-    # swamp the volume and the calendar before measurement starts.
-    "xcdn-scale": (
-        "XcdnWorkload",
-        {
-            "file_size": 32 * 1024,
-            "seed_files_per_client": 2,
-            "threads_per_client": 2,
-        },
-    ),
-    "npb-bt": ("NpbBtIoWorkload", {}),
-}
-
 REDBUD_SYSTEMS = ["redbud-original", "redbud-delayed"]
 ALL_SYSTEMS = ["pvfs2", "nfs3", "redbud-original", "redbud-delayed"]
 
@@ -334,28 +301,12 @@ class ResultCache:
 
 def run_cell(cell: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
     """Run one simulation cell; returns a JSON-friendly result record."""
-    import repro.workloads as workloads
-    from repro.fs import build_cluster
+    from repro.runspec import RunSpec
 
-    cls_name, kwargs = WORKLOAD_SPECS[cell["workload"]]
-    workload = getattr(workloads, cls_name)(**kwargs)
+    spec = RunSpec.from_cell(cell)
     t0 = time.perf_counter()
-    extra = dict(cell.get("config") or {})
-    if cell.get("scheduler"):
-        extra["scheduler"] = cell["scheduler"]
-    if cell.get("processes"):
-        extra["client_processes"] = cell["processes"]
-    cluster = build_cluster(
-        cell["system"],
-        num_clients=cell["clients"],
-        seed=cell["seed"],
-        shards=cell.get("shards", 1),
-        replication=cell.get("replication", "none"),
-        **extra,
-    )
-    result = cluster.run_workload(
-        workload, duration=cell["duration"], warmup=cell["warmup"]
-    )
+    done = spec.run()
+    result, cluster = done.result, done.cluster
     wall = time.perf_counter() - t0
     events = cluster.env.scheduled_events
     latency = result.latency()

@@ -40,7 +40,7 @@ from repro.fs.redbud import RedbudCluster
 from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
 from repro.obs import Instrumentation
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import WorkloadContext
 
 __all__ = ["RunOutcome", "Counterexample", "CheckReport", "run_schedule",
@@ -69,6 +69,13 @@ class RunOutcome:
     cluster: RedbudCluster
 
 
+def scope_args(shards: int, replication: str) -> str:
+    """The ``--shards``/``--replication`` suffix of a replay command."""
+    shards_arg = f" --shards {shards}" if shards > 1 else ""
+    repl_arg = f" --replication {replication}" if replication != "none" else ""
+    return shards_arg + repl_arg
+
+
 @dataclass
 class Counterexample:
     """A failing schedule reduced to its essential clauses."""
@@ -84,12 +91,6 @@ class Counterexample:
     trace: _t.List[str] = field(default_factory=list)
 
     def as_dict(self) -> _t.Dict[str, _t.Any]:
-        shards_arg = f" --shards {self.shards}" if self.shards > 1 else ""
-        repl_arg = (
-            f" --replication {self.replication}"
-            if self.replication != "none"
-            else ""
-        )
         return {
             "schedule": self.schedule,
             "minimal": self.minimal,
@@ -101,7 +102,7 @@ class Counterexample:
             "replay": (
                 f"python -m repro run --faults '{self.minimal}' --check "
                 f"--seed {self.seed} --clients {self.clients}"
-                f"{shards_arg}{repl_arg}"
+                f"{scope_args(self.shards, self.replication)}"
             ),
             "trace": list(self.trace),
         }
@@ -158,6 +159,96 @@ class CheckReport:
         )
 
 
+def check_config(
+    clients: int,
+    mode: str,
+    shards: int,
+    replication: str,
+    *,
+    retry: bool,
+    scheduler: _t.Optional[str] = None,
+) -> ClusterConfig:
+    """The cluster every check and soak run drives.
+
+    Short leases and GC scans make reclamation (and fencing) reachable
+    within a run; ``retry`` arms the RPC retry machinery (any fault
+    schedule needs it).
+    """
+    extra = {"scheduler": scheduler} if scheduler is not None else {}
+    return ClusterConfig(
+        num_clients=clients,
+        commit_mode=mode,
+        space_delegation=(mode != "synchronous"),
+        mds=MdsParameters(
+            lease_duration=LEASE_DURATION,
+            gc_scan_interval=GC_SCAN_INTERVAL,
+            shards=shards,
+        ),
+        retry=RetryPolicy() if retry else None,
+        replication=replication,
+        # Small witness budget so the overflow fallback is reachable
+        # inside a short check run, not just at bench scale.
+        witness_capacity=16,
+        **extra,
+    )
+
+
+def workload_contexts(cluster: RedbudCluster) -> _t.List[WorkloadContext]:
+    """One workload context per client, on RNG stream ``("wl", i)``."""
+    from repro.analysis.metrics import OpMetrics
+
+    shared: _t.Dict[str, _t.Any] = {}
+    return [
+        WorkloadContext(
+            env=cluster.env,
+            fs=cluster.clients[i],
+            rng=cluster.root_rng.stream("wl", i),
+            client_index=i,
+            num_clients=cluster.num_clients,
+            metrics=OpMetrics(),
+            shared=shared,
+        )
+        for i in range(cluster.num_clients)
+    ]
+
+
+class ClosedLoop:
+    """Closed-loop workload driver shared by check and soak runs.
+
+    Sets up one context per client (RNG stream ``("wl", i)``), then --
+    once every setup finished -- marks the cluster's setup complete and
+    starts ``threads_per_client`` op loops per client that run until
+    :attr:`stopped` is set.  Process names carry ``prefix``.
+    """
+
+    def __init__(
+        self, cluster: RedbudCluster, workload: CheckWorkload, prefix: str
+    ) -> None:
+        self.stopped = False
+        self.env = env = cluster.env
+        contexts = workload_contexts(cluster)
+        self.setups = [env.process(workload.setup(ctx)) for ctx in contexts]
+
+        def forever(ctx: WorkloadContext, tid: int) -> _t.Generator:
+            while not self.stopped:
+                yield from workload.op(ctx, tid)
+                yield from workload.think(ctx)
+
+        def driver() -> _t.Generator:
+            yield env.all_of(self.setups)
+            cluster.setup_complete = True
+            for ctx in contexts:
+                ctx.in_setup = False
+                for tid in range(workload.threads_per_client):
+                    env.process(forever(ctx, tid), name=f"{prefix}-op-{tid}")
+
+        env.process(driver(), name=f"{prefix}-driver")
+
+    def run_setup(self) -> None:
+        """Run the simulation until every client's setup finished."""
+        self.env.run(until=self.env.all_of(self.setups))
+
+
 def run_schedule(
     spec: FaultSpec,
     *,
@@ -179,63 +270,19 @@ def run_schedule(
     its slow-trickle workload so rebased long-horizon windows stay
     cheap); default is the standard check mix.
     """
-    config = ClusterConfig(
-        num_clients=clients,
-        commit_mode=mode,
-        space_delegation=(mode != "synchronous"),
-        mds=MdsParameters(
-            lease_duration=LEASE_DURATION,
-            gc_scan_interval=GC_SCAN_INTERVAL,
-            shards=shards,
-        ),
-        retry=None if spec.empty else RetryPolicy(),
-        replication=replication,
-        # Small witness budget so the overflow fallback is reachable
-        # inside a short check run, not just at bench scale.
-        witness_capacity=16,
+    config = check_config(
+        clients, mode, shards, replication, retry=not spec.empty
     )
     obs = Instrumentation()
     cluster = RedbudCluster(config, seed=seed, obs=obs)
     if tweak is not None:
         tweak(cluster)
     injector = FaultInjector(cluster, spec) if not spec.empty else None
-
+    loop = ClosedLoop(
+        cluster, workload if workload is not None else CheckWorkload(),
+        "check",
+    )
     env = cluster.env
-    if workload is None:
-        workload = CheckWorkload()
-    shared: _t.Dict[str, _t.Any] = {}
-    from repro.analysis.metrics import OpMetrics
-
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-
-    halt = {"stop": False}
-
-    def forever(ctx: WorkloadContext, tid: int) -> _t.Generator:
-        while not halt["stop"]:
-            yield from workload.op(ctx, tid)
-            yield from workload.think(ctx)
-
-    def driver() -> _t.Generator:
-        yield env.all_of(setups)
-        cluster.setup_complete = True
-        for ctx in contexts:
-            ctx.in_setup = False
-            for tid in range(workload.threads_per_client):
-                env.process(forever(ctx, tid), name=f"check-op-{tid}")
-
-    env.process(driver(), name="check-driver")
 
     if spec.crash_at is not None:
         state = crash_cluster(
@@ -249,9 +296,9 @@ def run_schedule(
             cluster=cluster,
         )
 
-    env.run(until=env.all_of(setups))
+    loop.run_setup()
     env.run(until=env.now + run_span)
-    halt["stop"] = True
+    loop.stopped = True
     if injector is not None:
         injector.stop()
     cluster.settle(grace=SETTLE_GRACE)

@@ -40,7 +40,10 @@ from repro.check.explorer import (
     GC_SCAN_INTERVAL,
     LEASE_DURATION,
     SETTLE_GRACE,
+    ClosedLoop,
+    check_config,
     run_schedule,
+    scope_args,
 )
 from repro.check.oracle import Verdict, judge_live
 from repro.check.schedule import compose
@@ -53,11 +56,8 @@ from repro.faults.nemesis import (
     TrackedNemesis,
 )
 from repro.faults.tracking import CLUSTER_WIDE, FaultTracker
-from repro.fs.config import ClusterConfig
 from repro.fs.redbud import RedbudCluster
-from repro.mds.server import MdsParameters
-from repro.net.rpc import RetryPolicy
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import WorkloadContext, timed
 
 __all__ = [
@@ -435,22 +435,8 @@ def run_soak(
     )
     out = emit if emit is not None else (lambda payload: None)
 
-    config_kw: _t.Dict[str, _t.Any] = {}
-    if scheduler is not None:
-        config_kw["scheduler"] = scheduler
-    config = ClusterConfig(
-        num_clients=clients,
-        commit_mode=mode,
-        space_delegation=(mode != "synchronous"),
-        mds=MdsParameters(
-            lease_duration=LEASE_DURATION,
-            gc_scan_interval=GC_SCAN_INTERVAL,
-            shards=shards,
-        ),
-        retry=RetryPolicy(),
-        replication=replication,
-        witness_capacity=16,
-        **config_kw,
+    config = check_config(
+        clients, mode, shards, replication, retry=True, scheduler=scheduler
     )
     # Untraced on purpose: a tracer over tens of virtual hours would
     # hold millions of events; the FaultTracker carries the excusal
@@ -477,40 +463,8 @@ def run_soak(
     tracker = injector.tracker if injector is not None else FaultTracker()
 
     env = cluster.env
-    workload = SoakWorkload()
-    shared: _t.Dict[str, _t.Any] = {}
-    from repro.analysis.metrics import OpMetrics
-
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    halt = {"stop": False}
-
-    def forever(ctx: WorkloadContext, tid: int) -> _t.Generator:
-        while not halt["stop"]:
-            yield from workload.op(ctx, tid)
-            yield from workload.think(ctx)
-
-    def driver() -> _t.Generator:
-        yield env.all_of(setups)
-        cluster.setup_complete = True
-        for ctx in contexts:
-            ctx.in_setup = False
-            for tid in range(workload.threads_per_client):
-                env.process(forever(ctx, tid), name=f"soak-op-{tid}")
-
-    env.process(driver(), name="soak-driver")
-    env.run(until=env.all_of(setups))
+    loop = ClosedLoop(cluster, SoakWorkload(), "soak")
+    loop.run_setup()
     start = env.now
     end_time = start + horizon
 
@@ -559,7 +513,7 @@ def run_soak(
         for when, _tie, what, action in entries:
             if when > env.now:
                 yield env.timeout(when - env.now)
-            if halt["stop"]:
+            if loop.stopped:
                 return
             if what == "heal" and action.kind == "client_death":
                 rec = find_record(action)
@@ -579,7 +533,7 @@ def run_soak(
         target = action.end + CONVERGENCE_GRACE
         if target > env.now:
             yield env.timeout(target - env.now)
-        if halt["stop"]:
+        if loop.stopped:
             return
         rec = find_record(action)
         self_id = rec.fault_id if rec is not None else None
@@ -621,9 +575,9 @@ def run_soak(
     def progress_monitor() -> _t.Generator:
         last = sum(s.requests_processed for s in cluster.metadata)
         lo = env.now
-        while not halt["stop"]:
+        while not loop.stopped:
             yield env.timeout(PROGRESS_WINDOW)
-            if halt["stop"]:
+            if loop.stopped:
                 return
             current = sum(
                 s.requests_processed for s in cluster.metadata
@@ -642,9 +596,9 @@ def run_soak(
     def sweep_monitor() -> _t.Generator:
         interval = max(60.0, horizon / max(1, sweeps))
         prev = env.now
-        while not halt["stop"]:
+        while not loop.stopped:
             yield env.timeout(interval)
-            if halt["stop"]:
+            if loop.stopped:
                 return
             verdict = judge_live(cluster)
             report.sweeps_run += 1
@@ -670,7 +624,7 @@ def run_soak(
         env.process(probe(action), name=f"soak-probe-{action.start}")
 
     env.run(until=end_time)
-    halt["stop"] = True
+    loop.stopped = True
     if injector is not None:
         injector.stop()
     cluster.settle(grace=SETTLE_GRACE)
@@ -686,11 +640,7 @@ def run_soak(
         report.faults_injected = injector.summary()
 
     if shrink and not report.ok:
-        report.counterexample = _shrink(
-            report, actions, seed=seed, clients=clients, mode=mode,
-            shards=shards, replication=replication, tweak=tweak,
-            seed_bug=seed_bug,
-        )
+        report.counterexample = _shrink(report, actions, tweak)
     out({"event": "summary", **report.as_dict()})
     return report
 
@@ -751,19 +701,15 @@ def _shift_clauses(
 def _shrink(
     report: SoakReport,
     actions: _t.List[NemesisAction],
-    *,
-    seed: int,
-    clients: int,
-    mode: str,
-    shards: int,
-    replication: str,
     tweak: _t.Optional[_t.Callable[[RedbudCluster], None]],
-    seed_bug: str,
     max_probes: int = 24,
 ) -> _t.Optional[_t.Dict[str, _t.Any]]:
     """Rebase the fault window around the first unexcused violation to
-    the short-horizon check harness and ddmin it to a minimal schedule.
+    the short-horizon check harness and ddmin it to a minimal schedule
+    (same seed, clients and scope as ``report``).
     """
+    seed, clients, shards = report.seed, report.clients, report.shards
+    replication, seed_bug = report.replication, report.seed_bug
     first = next((v for v in report.violations if not v.excused), None)
     if first is None:
         return None
@@ -780,7 +726,7 @@ def _shrink(
 
     def fails(subset: _t.List[str]) -> bool:
         outcome = run_schedule(
-            compose(subset), seed=seed, clients=clients, mode=mode,
+            compose(subset), seed=seed, clients=clients, mode=report.mode,
             shards=shards, replication=replication, run_span=span,
             tweak=tweak, workload=SoakWorkload(),
         )
@@ -803,10 +749,6 @@ def _shrink(
     else:
         minimal, probes = ddmin(shifted, fails, max_probes=max_probes)
     minimal_spec = compose(minimal)
-    shards_arg = f" --shards {shards}" if shards > 1 else ""
-    repl_arg = (
-        f" --replication {replication}" if replication != "none" else ""
-    )
     bug_arg = f" --seed-bug {seed_bug}" if seed_bug != "none" else ""
     return {
         "violation": first.as_dict(),
@@ -818,6 +760,6 @@ def _shrink(
             f"python -m repro run --workload soak --faults "
             f"'{minimal_spec.serialize()}' --check --seed {seed} "
             f"--clients {clients} --duration {span:.1f}"
-            f"{shards_arg}{repl_arg}{bug_arg}"
+            f"{scope_args(shards, replication)}{bug_arg}"
         ),
     }

@@ -1,48 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``run``
-    Run one workload on one system and print the result summary.
-    ``--json`` emits the result as a JSON object instead of tables;
-    ``--trace PATH`` additionally records a causal trace (Chrome
-    ``trace_event`` JSON, Perfetto-loadable).
-``compare``
-    Run one workload across all four Fig. 3 systems, normalised.
-    Accepts ``--json`` and ``--trace PATH`` too (one trace file per
-    system, the system name suffixed to the path stem).
-``trace``
-    Run one workload with full causal tracing and export the per-update
-    span trees (``--format chrome`` for Perfetto, ``jsonl`` for grep);
-    prints a plain-text span summary and the count of complete
-    enqueue->merge->compound->commit->dispatch chains.
-``stats``
-    Run one workload with the metrics registry enabled and print every
-    counter/gauge/histogram (queue depths, merge ratio, compound
-    degrees, daemon utilisation, delegation hit-rate...).
-``figures``
-    List the benchmark modules that regenerate the paper's figures.
-``bench``
-    Fan a figure sweep (figure x seeds x configs) across worker
-    processes with incremental result caching and write the
-    machine-readable ``BENCH_sim.json`` perf report (see
-    ``benchmarks/harness.py``).
-``slo``
-    Run one workload across chosen systems with the tail-latency layer
-    armed: per-op p50/p99/p999 tables, SLO verdicts
-    (``--slo 'write:p99<=0.05,*:p999<=0.5'``, exit nonzero on
-    violation), critical-path stage breakdown for the slowest decile,
-    a fault-annotated timeline (``--timeline``), and a Perfetto trace
-    with counter tracks (``--trace``).  ``run``/``compare`` also accept
-    ``--slo`` for verdicts inline.
-``crash``
-    Crash a busy delayed-commit cluster at a chosen instant, verify the
-    ordered-writes invariant, and run recovery.
-``check``
-    Systematic crash-schedule exploration (``repro.check``): enumerate
-    crashes at protocol transition points, layer seeded nemesis fault
-    combinations, judge every schedule against the invariant suite, and
-    shrink failures to minimal replayable ``--faults`` specs.
+Every simulation verb (``run``, ``compare``, ``trace``, ``stats``,
+``slo``) is a thin adapter: its options become one
+:class:`repro.runspec.RunSpec`, which assembles and runs the cluster.
+``python -m repro --help`` lists the verbs and ``python -m repro <verb>
+--help`` their options; options shared by several verbs are declared
+once, in ``_OPTIONS``.
 
 Examples
 --------
@@ -56,17 +19,21 @@ Examples
     python -m repro stats --system redbud-delayed --workload varmail
     python -m repro slo --systems redbud-delayed,nfs3 \
         --slo 'write:p99<=0.05,*:p999<=0.5'
-    python -m repro slo --shards 2 --faults 'mds_restart@0.5:0.2' \
-        --timeline --trace slo.json
+    python -m repro slo --systems redbud-delayed --shards 2 \
+        --faults 'mds_restart@0.5:0.2' --timeline --trace slo.json
     python -m repro crash --at 0.4 --mode unordered
     python -m repro check --budget 200 --seed 0 --out check.json
+    python -m repro soak --hours 2 --seed 0 --out soak.jsonl
     python -m repro bench --figure fig3 --seeds 8
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import operator
+import os
 import sys
 import typing as _t
 
@@ -77,41 +44,9 @@ from repro.consistency import (
     fsck,
     recover,
 )
-from repro.fs import build_cluster
 from repro.fs.factory import SYSTEMS
+from repro.runspec import PRESETS, RunSpec, make_workload, require_redbud
 from repro.util import fmt_rate, fmt_time
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
-
-def _soak_workload() -> _t.Any:
-    # Lazy: the slow-trickle soak mix lives in the check package, and
-    # importing it here would drag the checker into every CLI start.
-    from repro.check.soak import SoakWorkload
-
-    return SoakWorkload()
-
-
-WORKLOADS: _t.Dict[str, _t.Callable[[], _t.Any]] = {
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn-32K": lambda: XcdnWorkload(
-        file_size=32 * 1024, seed_files_per_client=25
-    ),
-    "xcdn-64K": lambda: XcdnWorkload(
-        file_size=64 * 1024, seed_files_per_client=15
-    ),
-    "xcdn-1M": lambda: XcdnWorkload(
-        file_size=1024 * 1024, seed_files_per_client=8
-    ),
-    "npb-bt": lambda: NpbBtIoWorkload(),
-    "soak": _soak_workload,
-}
 
 FIGURES = {
     "fig1": "benchmarks/bench_fig1_overlap.py -- computing/I-O overlap",
@@ -124,19 +59,26 @@ FIGURES = {
 }
 
 
-def _metric(workload_name: str):
-    if workload_name.startswith("npb"):
-        return lambda r: r.bytes_per_second
-    return lambda r: r.ops_per_second
+class UsageError(Exception):
+    """A bad option combination: ``main`` prints it and exits 2."""
 
 
-def _scalar_extras(extras: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
-    """Keep only JSON-friendly scalar extras (drop objects/samples)."""
-    return {
-        k: v
-        for k, v in extras.items()
-        if isinstance(v, (int, float, str, bool))
+def _run_spec(args: argparse.Namespace, **overrides: _t.Any) -> RunSpec:
+    """The :class:`RunSpec` a sim verb's options describe.
+
+    Option dests match the spec's field names, so every verb hands over
+    whichever of them it declares; the rest keep their defaults.
+    """
+    kw = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunSpec)
+        if f.init and hasattr(args, f.name)
     }
+    kw.update(overrides)
+    try:
+        return RunSpec(**kw)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _result_dict(result: _t.Any) -> _t.Dict[str, _t.Any]:
@@ -149,8 +91,29 @@ def _result_dict(result: _t.Any) -> _t.Dict[str, _t.Any]:
         "ops_per_second": result.ops_per_second,
         "bytes_per_second": result.bytes_per_second,
         "latency": latency.as_dict(),
-        "extras": _scalar_extras(result.extras),
+        # JSON-friendly scalars only (drop objects/samples).
+        "extras": {
+            k: v
+            for k, v in result.extras.items()
+            if isinstance(v, (int, float, str, bool))
+        },
     }
+
+
+def _shard_table(result: _t.Any, counts: _t.List[str], title: str) -> None:
+    """Print the per-metadata-shard rows of a sharded run, if any."""
+    per_shard = result.extras.get("mds_per_shard")
+    if not per_shard:
+        return
+    tails = ["svc_p50", "svc_p99", "svc_p999"]
+    table = Table(["shard", *counts, *tails], title=title)
+    for row in per_shard:
+        table.add_row(
+            row["shard"],
+            *(row[c] for c in counts),
+            *(fmt_time(row[q]) for q in tails),
+        )
+    table.print()
 
 
 def _settle(cluster: _t.Any) -> None:
@@ -167,33 +130,37 @@ def _trace_path(path: str, system: str) -> str:
     return f"{stem}-{system}.{ext}"
 
 
-def _check_writable(path: str) -> _t.Optional[str]:
+def _check_writable(path: _t.Optional[str], flag: str) -> None:
     """Fail before the (long) simulation, not at export time."""
-    import os
+    parent = os.path.dirname(path or "") or "."
+    if path and not os.path.isdir(parent):
+        raise UsageError(f"{flag} output directory does not exist: {parent}")
 
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        return f"error: trace output directory does not exist: {parent}"
-    return None
+
+def _write_json(path: str, payload: _t.Any, what: str, indent: int = 2) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent, sort_keys=True)
+    print(f"wrote {what} to {path}", file=sys.stderr)
 
 
 def _build_obs(args: argparse.Namespace) -> _t.Optional[_t.Any]:
-    if not getattr(args, "trace", None):
+    if not args.trace:
         return None
     from repro.obs import Instrumentation
 
     return Instrumentation()
 
 
-def _parse_slo(text: str) -> _t.Any:
-    """Parse ``--slo`` or print the error and return None."""
+def _parse_slo(text: _t.Optional[str]) -> _t.Any:
+    """Parse ``--slo`` (``None`` when not given)."""
+    if not text:
+        return None
     from repro.obs import SloSpec
 
     try:
         return SloSpec.parse(text)
     except ValueError as exc:
-        print(f"error: bad --slo spec: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(f"bad --slo spec: {exc}") from None
 
 
 def _evaluate_slo(
@@ -208,145 +175,50 @@ def _evaluate_slo(
     return spec.evaluate(result.metrics, excused), excused
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    if args.trace and (err := _check_writable(args.trace)):
-        print(err, file=sys.stderr)
-        return 2
-    slo_spec = None
-    if getattr(args, "slo", None):
-        slo_spec = _parse_slo(args.slo)
-        if slo_spec is None:
-            return 2
-    obs = _build_obs(args)
-    config_kw: _t.Dict[str, _t.Any] = {}
-    spec = None
-    if getattr(args, "faults", None):
-        from repro.faults import FaultSpec
+def _print_verdict(verdict: _t.Any) -> None:
+    for line in verdict.summaries:
+        print(f"check: {line}")
+    for kind, detail in verdict.violations:
+        print(f"check VIOLATION [{kind}]: {detail}")
 
-        try:
-            spec = FaultSpec.parse(args.faults)
-        except ValueError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        if spec.crash_at is not None:
-            # A crash-cut schedule (e.g. a shrunken counterexample from
-            # `repro check`): replay it through the check harness, which
-            # drives the deterministic check workload, pulls the plug at
-            # the requested instant, and judges recovery against the
-            # full invariant suite.
-            if not args.system.startswith("redbud"):
-                print(
-                    "error: --faults supports the redbud systems only",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.check import run_schedule
 
-            outcome = run_schedule(
-                spec, seed=args.seed, clients=args.clients,
-                shards=args.shards, replication=args.replication,
-            )
-            print(
-                f"crash schedule {spec.serialize()!r} replayed on the "
-                f"check harness (seed={args.seed}, "
-                f"clients={args.clients}, shards={args.shards}, "
-                f"replication={args.replication})"
-            )
-            for line in outcome.verdict.summaries:
-                print(f"check: {line}")
-            for kind, detail in outcome.verdict.violations:
-                print(f"check VIOLATION [{kind}]: {detail}")
-            print("PASS" if outcome.verdict.ok else "FAIL")
-            return 0 if outcome.verdict.ok else 1
-        if spec.empty:
-            # An empty spec injects nothing and must behave (and trace)
-            # byte-identically to a run without --faults, so don't arm
-            # the retry machinery either.
-            spec = None
-        else:
-            if not args.system.startswith("redbud"):
-                print(
-                    "error: --faults supports the redbud systems only",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.net.rpc import RetryPolicy
+def _replay_crash(spec: RunSpec) -> int:
+    """Replay a crash-cut schedule (e.g. a shrunken counterexample from
+    `repro check`) through the check harness, which drives the
+    deterministic check workload, pulls the plug at the requested
+    instant, and judges recovery against the full invariant suite."""
+    from repro.check import run_schedule
 
-            config_kw["retry"] = RetryPolicy()
-    if args.shards > 1:
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --shards supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
-        config_kw["shards"] = args.shards
-    if args.replication != "none":
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --replication supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
-        config_kw["replication"] = args.replication
-    if getattr(args, "processes", None) is not None:
-        if spec is not None and spec.client_deaths:
-            # client_death addresses one workload personality by index
-            # (client_death=3 kills client 3); under aggregation a node
-            # hosts many personalities and that indexing is
-            # meaningless.  Every other clause family targets links,
-            # shards, or storage members, which aggregation leaves
-            # intact -- so only deaths are refused.
-            death = spec.client_deaths[0]
-            print(
-                "error: --processes cannot be combined with a --faults "
-                "spec containing client_death clauses "
-                f"(offending clause: client_death={death.client_id}"
-                f"@{death.at!r}; client indexing assumes one node per "
-                "client)",
-                file=sys.stderr,
-            )
-            return 2
-        config_kw["client_processes"] = args.processes
-    if getattr(args, "scheduler", None) is not None:
-        config_kw["scheduler"] = args.scheduler
-    if getattr(args, "delegation_chunk", None) is not None:
-        config_kw["delegation_chunk"] = args.delegation_chunk
-    cluster = build_cluster(
-        args.system, num_clients=args.clients, seed=args.seed, obs=obs,
-        **config_kw,
+    outcome = run_schedule(
+        spec.fault_spec, seed=spec.seed, clients=spec.clients,
+        shards=spec.shards, replication=spec.replication,
     )
-    if getattr(args, "seed_bug", "none") != "none":
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --seed-bug supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.check.soak import seed_bug_tweak
+    print(
+        f"crash schedule {spec.fault_spec.serialize()!r} replayed on the "
+        f"check harness (seed={spec.seed}, clients={spec.clients}, "
+        f"shards={spec.shards}, replication={spec.replication})"
+    )
+    _print_verdict(outcome.verdict)
+    print("PASS" if outcome.verdict.ok else "FAIL")
+    return 0 if outcome.verdict.ok else 1
 
-        bug_tweak = seed_bug_tweak(args.seed_bug)
-        if bug_tweak is not None:
-            bug_tweak(cluster)
-    injector = None
-    if spec is not None:
-        from repro.faults import FaultInjector
 
-        injector = FaultInjector(cluster, spec)
-    workload = WORKLOADS[args.workload]()
-    result = cluster.run_workload(workload, duration=args.duration)
-    if injector is not None:
-        # Post-schedule settling: stop injecting, let retries drain.
-        injector.stop()
-        _settle(cluster)
+def cmd_run(args: argparse.Namespace) -> int:
+    _check_writable(args.trace, "--trace")
+    slo_spec = _parse_slo(args.slo)
+    spec = _run_spec(args)
+    if args.check:
+        try:
+            require_redbud(spec.system, "--check")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    if spec.crash_at is not None:
+        return _replay_crash(spec)
+    obs = _build_obs(args)
+    done = spec.run(obs)
+    cluster, injector, result = done.cluster, done.injector, done.result
     check_verdict = None
-    if getattr(args, "check", False):
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --check supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
+    if args.check:
         from repro.check import judge_converged, judge_live
 
         if injector is None:
@@ -372,6 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if slo_spec is not None:
         slo_results, slo_excused = _evaluate_slo(slo_spec, result, obs)
     slo_ok = all(r.passed for r in slo_results)
+    check_ok = check_verdict is None or check_verdict.ok
     if args.json:
         payload = _result_dict(result)
         if "mds_per_shard" in result.extras:
@@ -392,13 +265,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "ok": slo_ok,
             }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        if check_verdict is not None and not check_verdict.ok:
-            return 1
-        return 0 if slo_ok else 1
+        return 0 if check_ok and slo_ok else 1
     table = Table(
         ["metric", "value"],
-        title=f"{args.system} / {args.workload} "
-        f"({args.clients} clients, {args.duration:.1f}s virtual)",
+        title=f"{spec.system} / {spec.workload} "
+        f"({spec.clients} clients, {spec.duration:.1f}s virtual)",
     )
     table.add_row("ops completed", result.ops_completed)
     table.add_row("ops/s", result.ops_per_second)
@@ -416,27 +287,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"p95={fmt_time(stats.p95)} p99={fmt_time(stats.p99)} "
             f"p999={fmt_time(stats.p999)}"
         )
-    per_shard = result.extras.get("mds_per_shard")
-    if per_shard:
-        shard_table = Table(
-            [
-                "shard", "mds_requests", "mds_ops", "files", "free_bytes",
-                "svc_p50", "svc_p99", "svc_p999",
-            ],
-            title="metadata shards",
-        )
-        for row in per_shard:
-            shard_table.add_row(
-                row["shard"],
-                row["mds_requests"],
-                row["mds_ops"],
-                row["files"],
-                row["free_bytes"],
-                fmt_time(row["svc_p50"]),
-                fmt_time(row["svc_p99"]),
-                fmt_time(row["svc_p999"]),
-            )
-        shard_table.print()
+    _shard_table(
+        result, ["mds_requests", "mds_ops", "files", "free_bytes"],
+        "metadata shards",
+    )
     if injector is not None:
         fault_table = Table(["fault metric", "value"], title="fault summary")
         for key, value in injector.summary().items():
@@ -456,39 +310,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         slo_table(
             slo_results,
-            title=f"SLO: {args.system}",
+            title=f"SLO: {spec.system}",
             excused_windows=len(slo_excused),
         ).print()
     if check_verdict is not None:
-        for line in check_verdict.summaries:
-            print(f"check: {line}")
-        for kind, detail in check_verdict.violations:
-            print(f"check VIOLATION [{kind}]: {detail}")
-        if not check_verdict.ok:
-            return 1
-    return 0 if slo_ok else 1
+        _print_verdict(check_verdict)
+    return 0 if check_ok and slo_ok else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.trace and (err := _check_writable(args.trace)):
-        print(err, file=sys.stderr)
-        return 2
-    slo_spec = None
-    if getattr(args, "slo", None):
-        slo_spec = _parse_slo(args.slo)
-        if slo_spec is None:
-            return 2
-    metric = _metric(args.workload)
+    _check_writable(args.trace, "--trace")
+    slo_spec = _parse_slo(args.slo)
+    # NPB's op granularity differs per system, so compare its bytes/s.
+    npb = args.workload.startswith("npb")
+    metric = operator.attrgetter(
+        "bytes_per_second" if npb else "ops_per_second"
+    )
     results = {}
     slo_verdicts: _t.Dict[str, _t.List[_t.Any]] = {}
     for system in SYSTEMS:
         obs = _build_obs(args)
-        cluster = build_cluster(
-            system, num_clients=args.clients, seed=args.seed, obs=obs
-        )
-        results[system] = cluster.run_workload(
-            WORKLOADS[args.workload](), duration=args.duration
-        )
+        done = _run_spec(args, system=system).run(obs)
+        results[system] = done.result
         if slo_spec is not None:
             slo_verdicts[system], _ = _evaluate_slo(
                 slo_spec, results[system], obs
@@ -496,7 +339,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if obs is not None:
             from repro.obs import write_chrome_trace
 
-            _settle(cluster)
+            _settle(done.cluster)
             path = _trace_path(args.trace, system)
             count = write_chrome_trace(obs.tracer, path)
             print(
@@ -555,27 +398,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if slo_ok else 1
 
 
+def _instrumented_run(args: argparse.Namespace) -> _t.Tuple[RunSpec, _t.Any]:
+    """Run with tracing and metrics on, then let background daemons
+    drain so in-flight updates finish their enqueue->dispatch chains."""
+    from repro.obs import Instrumentation
+
+    spec = _run_spec(args)
+    obs = Instrumentation()
+    _settle(spec.run(obs).cluster)
+    return spec, obs
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
-        Instrumentation,
         complete_chains,
         trace_summary,
         write_chrome_trace,
         write_jsonl,
     )
 
-    if err := _check_writable(args.out):
-        print(err, file=sys.stderr)
-        return 2
-    obs = Instrumentation()
-    cluster = build_cluster(
-        args.system, num_clients=args.clients, seed=args.seed, obs=obs
-    )
-    workload = WORKLOADS[args.workload]()
-    cluster.run_workload(workload, duration=args.duration)
-    # Let background daemons drain so in-flight updates finish their
-    # enqueue->dispatch chains before export.
-    _settle(cluster)
+    _check_writable(args.out, "--out")
+    spec, obs = _instrumented_run(args)
     if args.format == "chrome":
         count = write_chrome_trace(obs.tracer, args.out)
     else:
@@ -584,21 +427,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"wrote {count} {args.format} records to {args.out}")
     # A delayed-commit run that produced no complete causal chain means
     # the instrumentation broke; flag it.
-    if args.system == "redbud-delayed" and not complete_chains(obs.tracer):
+    if spec.system == "redbud-delayed" and not complete_chains(obs.tracer):
         return 1
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs import Instrumentation, stats_table
+    from repro.obs import stats_table
 
-    obs = Instrumentation()
-    cluster = build_cluster(
-        args.system, num_clients=args.clients, seed=args.seed, obs=obs
-    )
-    workload = WORKLOADS[args.workload]()
-    cluster.run_workload(workload, duration=args.duration)
-    _settle(cluster)
+    spec, obs = _instrumented_run(args)
     if args.json:
         print(
             json.dumps(obs.registry.snapshot(), indent=2, sort_keys=True)
@@ -606,7 +443,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return 0
     stats_table(
         obs.registry,
-        title=f"{args.system} / {args.workload} metrics",
+        title=f"{spec.system} / {spec.workload} metrics",
     ).print()
     return 0
 
@@ -622,47 +459,13 @@ def cmd_slo(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    if args.trace and (err := _check_writable(args.trace)):
-        print(err, file=sys.stderr)
-        return 2
-    spec = None
-    if args.slo:
-        spec = _parse_slo(args.slo)
-        if spec is None:
-            return 2
+    _check_writable(args.trace, "--trace")
+    _check_writable(args.out, "--out")
+    spec = _parse_slo(args.slo)
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    for system in systems:
-        if system not in SYSTEMS:
-            print(
-                f"error: unknown system {system!r}; choose from "
-                f"{', '.join(SYSTEMS)}",
-                file=sys.stderr,
-            )
-            return 2
-    fault_spec = None
-    if args.faults:
-        from repro.faults import FaultSpec
-
-        try:
-            fault_spec = FaultSpec.parse(args.faults)
-        except ValueError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        if fault_spec.crash_at is not None:
-            print(
-                "error: crash@T schedules belong to `repro run --check`",
-                file=sys.stderr,
-            )
-            return 2
-        if fault_spec.empty:
-            fault_spec = None
-    needs_redbud = fault_spec is not None or args.shards > 1
-    if needs_redbud and any(not s.startswith("redbud") for s in systems):
-        print(
-            "error: --faults/--shards support the redbud systems only",
-            file=sys.stderr,
-        )
-        return 2
+    runs = [_run_spec(args, system=system) for system in systems]
+    if any(run_spec.crash_at is not None for run_spec in runs):
+        raise UsageError("crash@T schedules belong to `repro run --check`")
 
     violated = False
     report: _t.Dict[str, _t.Any] = {
@@ -675,30 +478,13 @@ def cmd_slo(args: argparse.Namespace) -> int:
         "shards": args.shards,
         "systems": {},
     }
-    for system in systems:
+    for run_spec in runs:
+        system = run_spec.system
         obs = Instrumentation()
-        config_kw: _t.Dict[str, _t.Any] = {}
-        if args.shards > 1:
-            config_kw["shards"] = args.shards
-        if fault_spec is not None:
-            from repro.net.rpc import RetryPolicy
-
-            config_kw["retry"] = RetryPolicy()
-        cluster = build_cluster(
-            system, num_clients=args.clients, seed=args.seed, obs=obs,
-            **config_kw,
-        )
-        injector = None
-        if fault_spec is not None:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(cluster, fault_spec)
-        result = cluster.run_workload(
-            WORKLOADS[args.workload](), duration=args.duration
-        )
-        if injector is not None:
-            injector.stop()
-        _settle(cluster)
+        done = run_spec.run(obs)
+        result, injector = done.result, done.injector
+        if injector is None:
+            _settle(done.cluster)
 
         breakdowns = decompose_updates(obs.tracer)
         timeline = Timeline.build(result.metrics, obs.tracer, breakdowns)
@@ -708,8 +494,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
             if spec is not None
             else []
         )
-        if any(not r.passed for r in verdicts):
-            violated = True
+        violated |= any(not r.passed for r in verdicts)
 
         entry: _t.Dict[str, _t.Any] = {
             "result": _result_dict(result),
@@ -742,20 +527,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
                     fmt_time(stats.max),
                 )
             tails.print()
-            per_shard = result.extras.get("mds_per_shard")
-            if per_shard:
-                shard_table = Table(
-                    ["shard", "svc_p50", "svc_p99", "svc_p999"],
-                    title=f"{system}: metadata shard service tails",
-                )
-                for row in per_shard:
-                    shard_table.add_row(
-                        row["shard"],
-                        fmt_time(row["svc_p50"]),
-                        fmt_time(row["svc_p99"]),
-                        fmt_time(row["svc_p999"]),
-                    )
-                shard_table.print()
+            _shard_table(
+                result, [], f"{system}: metadata shard service tails"
+            )
             if breakdowns:
                 critical_path_table(
                     breakdowns,
@@ -789,9 +563,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote SLO report to {args.out}", file=sys.stderr)
+        _write_json(args.out, report, "SLO report")
     return 1 if violated else 0
 
 
@@ -829,9 +601,8 @@ def cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def cmd_crash(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import OpMetrics
+    from repro.check.explorer import workload_contexts
     from repro.fs import ClusterConfig, RedbudCluster
-    from repro.workloads.spec import WorkloadContext
 
     config = ClusterConfig(
         num_clients=args.clients,
@@ -840,20 +611,8 @@ def cmd_crash(args: argparse.Namespace) -> int:
     )
     cluster = RedbudCluster(config, seed=args.seed)
     env = cluster.env
-    workload = WORKLOADS[args.workload]()
-    shared: dict = {}
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=args.clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(args.clients)
-    ]
+    workload = make_workload(args.workload)
+    contexts = workload_contexts(cluster)
     setups = [env.process(workload.setup(ctx)) for ctx in contexts]
     env.run(until=env.all_of(setups))
 
@@ -890,6 +649,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.check import explore
     from repro.check.soak import seed_bug_tweak
 
+    _check_writable(args.out, "--out")
     # Self-test hook: plant a deliberate bug (e.g. disable the MDS's
     # durable commit dedup table) and prove the checker finds it and
     # shrinks it to a minimal replayable schedule.
@@ -907,9 +667,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     payload = report.as_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote report to {args.out}", file=sys.stderr)
+        _write_json(args.out, payload, "report")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -947,14 +705,9 @@ def cmd_soak(args: argparse.Namespace) -> int:
     from repro.check.soak import run_soak
 
     if args.hours <= 0:
-        print("error: --hours must be positive", file=sys.stderr)
-        return 2
-    out_fh = None
-    if args.out:
-        if err := _check_writable(args.out):
-            print(err, file=sys.stderr)
-            return 2
-        out_fh = open(args.out, "w", encoding="utf-8")
+        raise UsageError("--hours must be positive")
+    _check_writable(args.out, "--out")
+    out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
 
     def emit(payload: _t.Dict[str, _t.Any]) -> None:
         line = json.dumps(payload, sort_keys=True)
@@ -1010,7 +763,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot a live sharded metadata cluster: one process per shard."""
-    import os
     import subprocess
 
     os.makedirs(args.data_dir, exist_ok=True)
@@ -1019,25 +771,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         for shard in range(args.shards):
             cmd = [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve-shard",
-                "--shard",
-                str(shard),
-                "--shards",
-                str(args.shards),
-                "--data-dir",
-                args.data_dir,
-                "--port",
-                "0",
-                "--volume-size",
-                str(args.volume_size),
-                "--daemons",
-                str(args.daemons),
-                "--drop-every",
-                str(args.drop_every),
+                sys.executable, "-m", "repro", "serve-shard",
+                "--shard", str(shard), "--port", "0",
             ]
+            for flag in _SHARD_FLAGS:
+                cmd += [flag, str(getattr(args, _dest(flag)))]
             children.append(
                 subprocess.Popen(
                     cmd,
@@ -1118,21 +856,19 @@ def cmd_serve_shard(args: argparse.Namespace) -> int:
 def cmd_smoke(args: argparse.Namespace) -> int:
     """Drive a workload against a live cluster and audit its state."""
     import asyncio
-    import os
 
     from repro.rt.smoke import SmokeConfig, run_smoke
 
+    _check_writable(args.report, "--report")
     cluster_path = os.path.join(args.data_dir, "cluster.json")
     try:
         with open(cluster_path) as handle:
             cluster = json.load(handle)
     except FileNotFoundError:
-        print(
-            f"error: {cluster_path} not found -- is `repro serve` "
-            "running with this --data-dir?",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(
+            f"{cluster_path} not found -- is `repro serve` "
+            "running with this --data-dir?"
+        ) from None
     config = SmokeConfig(
         addresses=[(host, port) for host, port in cluster["addresses"]],
         data_dir=args.data_dir,
@@ -1146,9 +882,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     )
     report = asyncio.run(run_smoke(config))
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-        print(f"wrote smoke report to {args.report}", file=sys.stderr)
+        _write_json(args.report, report, "smoke report", indent=1)
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -1167,6 +901,102 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
+_SEED_BUGS = ("none", "dedup", "degrade")
+
+#: Options several verbs share, declared once: flag -> ``add_argument``
+#: keywords.  :func:`_add_options` attaches them verb by verb.
+_OPTIONS: _t.Dict[str, _t.Dict[str, _t.Any]] = {
+    "--system": {"choices": SYSTEMS, "default": "redbud-delayed"},
+    "--json": {
+        "action": "store_true",
+        "help": "print the result as JSON (soak: the JSONL timeline)",
+    },
+    "--out": {"metavar": "PATH", "help": "also write the report here"},
+    "--trace": {
+        "metavar": "PATH",
+        "help": "also record a causal trace (Chrome trace_event JSON, "
+        "Perfetto-loadable; the system name is suffixed to the path "
+        "when several systems run)",
+    },
+    "--slo": {
+        "metavar": "SPEC",
+        "default": None,
+        "help": "judge the run against SLO rules '[op:]metric<=seconds' "
+        "(comma-separated, e.g. 'write:p99<=0.05,*:p999<=0.5'; metrics "
+        "p50 p90 p95 p99 p999 mean max); exit nonzero on violation. "
+        "Traced fault-active windows are excused",
+    },
+    "--shards": {
+        "type": int,
+        "default": 1,
+        "help": "metadata shards (redbud systems only; default "
+        "%(default)s, which is byte-identical to the single MDS). Under "
+        "check/soak, >1 also arms the shard nemesis families and the "
+        "cross-shard disjointness oracle",
+    },
+    "--replication": {
+        "choices": ("none", "mirror3", "block4-2"),
+        "default": "none",
+        "help": "replicated storage group arrangement (redbud systems "
+        "only; default %(default)s, which is byte-identical to the "
+        "unreplicated array). mirror3/block4-2 also arm CURP witnesses "
+        "and, under check/soak, the disk-loss nemesis family and the "
+        "replica oracles",
+    },
+    "--faults": {
+        "metavar": "SPEC",
+        "default": None,
+        "help": "inject faults (redbud systems only); comma-separated "
+        "clauses: loss=P, delay=P:MAX, partition=CID@T0-T1, "
+        "mds_restart@T:D[:shard=K], client_death=CID@T, "
+        "shard_partition=K@T0-T1, disk_loss=M@T[:R], crash@T -- e.g. "
+        "'loss=0.05,mds_restart@0.5:0.2,disk_loss=1@0.3:0.2' "
+        "(disk_loss needs --replication)",
+    },
+    "--scheduler": {
+        "choices": ("calendar", "heap"),
+        "default": None,
+        "help": "event-calendar implementation (default calendar); both "
+        "dispatch in the identical order, heap is the reference "
+        "baseline for scaling comparisons",
+    },
+    "--seed-bug": {
+        "choices": _SEED_BUGS,
+        "default": "none",
+        "help": "deliberately plant a bug (self-tests; redbud systems "
+        "only): 'dedup' disables the MDS commit dedup table, 'degrade' "
+        "suppresses the delayed->sync reversion so clients stay "
+        "degraded after faults heal",
+    },
+    "--volume-size": {"type": int, "default": 256 * 1024 * 1024},
+    "--daemons": {"type": int, "default": 4},
+    "--drop-every": {
+        "type": int,
+        "default": 0,
+        "help": "drop every Nth request frame before delivery (0 = off): "
+        "forces real retransmissions through the retry machinery",
+    },
+}
+
+#: What ``serve`` forwards to each ``serve-shard`` child unchanged.
+_SHARD_FLAGS = (
+    "--shards", "--data-dir", "--volume-size", "--daemons", "--drop-every"
+)
+
+
+def _dest(flag: str) -> str:
+    """``--seed-bug`` -> ``seed_bug`` (argparse's attribute name)."""
+    return flag[2:].replace("-", "_")
+
+
+def _add_options(
+    p: argparse.ArgumentParser, *flags: str, **overrides: _t.Any
+) -> None:
+    """Attach shared options; ``overrides`` maps a dest to kwargs."""
+    for flag in flags:
+        p.add_argument(flag, **{**_OPTIONS[flag], **overrides.get(_dest(flag), {})})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1182,46 +1012,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=11)
         p.add_argument("--duration", type=float, default=3.0)
         p.add_argument(
-            "--workload", choices=sorted(WORKLOADS), default="xcdn-32K"
+            "--workload", choices=sorted(PRESETS), default="xcdn-32K"
         )
 
     p_run = sub.add_parser("run", help="run one workload on one system")
     common(p_run)
-    p_run.add_argument("--system", choices=SYSTEMS, default="redbud-delayed")
-    p_run.add_argument(
-        "--json", action="store_true", help="emit the result as JSON"
-    )
-    p_run.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="also record a causal trace (Chrome trace_event JSON)",
-    )
-    p_run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards (redbud systems only; default "
-        "%(default)s, which is byte-identical to the single MDS)",
-    )
-    p_run.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group arrangement (redbud systems "
-        "only; default %(default)s, which is byte-identical to the "
-        "unreplicated array). mirror3/block4-2 also arm CURP "
-        "witnesses on the delayed/unordered commit paths",
-    )
-    p_run.add_argument(
+    _add_options(
+        p_run, "--system", "--json", "--trace", "--shards", "--replication",
         "--faults",
-        metavar="SPEC",
-        default=None,
-        help="inject faults (redbud systems only); comma-separated "
-        "clauses: loss=P, delay=P:MAX, partition=CID@T0-T1, "
-        "mds_restart@T:D[:shard=K], client_death=CID@T, "
-        "shard_partition=K@T0-T1, disk_loss=M@T[:R], crash@T -- e.g. "
-        "'loss=0.05,mds_restart@0.5:0.2,disk_loss=1@0.3:0.2' "
-        "(disk_loss needs --replication)",
     )
     p_run.add_argument(
         "--processes",
@@ -1231,16 +1029,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated client nodes to multiplex --clients workload "
         "personalities onto (aggregate clients; default: one node per "
         "client). --clients 10000 --processes 16 runs a 10k-client "
-        "population on 16 nodes. Incompatible with --faults",
+        "population on 16 nodes. A --faults spec with client_death "
+        "clauses is refused (client indexing assumes one node per "
+        "client); every other clause family is allowed",
     )
-    p_run.add_argument(
-        "--scheduler",
-        choices=("calendar", "heap"),
-        default=None,
-        help="event-calendar implementation (default calendar); both "
-        "dispatch in the identical order, heap is the reference "
-        "baseline for scaling comparisons",
-    )
+    _add_options(p_run, "--scheduler")
     p_run.add_argument(
         "--delegation-chunk",
         type=int,
@@ -1251,15 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         "10000 clients need chunks small enough to fit the volume "
         "(e.g. 1048576)",
     )
-    p_run.add_argument(
-        "--slo",
-        metavar="SPEC",
-        default=None,
-        help="judge the run against SLO rules "
-        "('[op:]metric<=seconds', comma-separated, e.g. "
-        "'write:p99<=0.05,*:p999<=0.5'); exit nonzero on violation. "
-        "With --trace, fault-active windows are excused",
-    )
+    _add_options(p_run, "--slo")
     p_run.add_argument(
         "--check",
         action="store_true",
@@ -1267,34 +1052,12 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant suite (safety + convergence); exit nonzero on any "
         "violation (redbud systems only)",
     )
-    p_run.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately plant a bug before running (self-tests; "
-        "redbud systems only): 'dedup' disables the MDS commit dedup "
-        "table, 'degrade' suppresses the delayed->sync reversion so "
-        "clients stay degraded after faults heal",
-    )
+    _add_options(p_run, "--seed-bug")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run one workload on all systems")
     common(p_cmp)
-    p_cmp.add_argument(
-        "--json", action="store_true", help="emit the results as JSON"
-    )
-    p_cmp.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="record one causal trace per system (name suffixed)",
-    )
-    p_cmp.add_argument(
-        "--slo",
-        metavar="SPEC",
-        default=None,
-        help="judge every system against SLO rules; exit nonzero if "
-        "any system violates (see `run --slo`)",
-    )
+    _add_options(p_cmp, "--json", "--trace", "--slo")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_slo = sub.add_parser(
@@ -1308,56 +1071,23 @@ def build_parser() -> argparse.ArgumentParser:
         default="redbud-delayed,nfs3",
         help="comma-separated systems to run (default %(default)s)",
     )
-    p_slo.add_argument(
-        "--slo",
-        metavar="SPEC",
-        default=None,
-        help="SLO rules '[op:]metric<=seconds' (comma-separated); "
-        "metrics: p50 p90 p95 p99 p999 mean max; omit to report "
-        "tails without verdicts",
-    )
-    p_slo.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards (redbud systems only)",
-    )
-    p_slo.add_argument(
-        "--faults",
-        metavar="SPEC",
-        default=None,
-        help="inject faults (redbud systems only; same clauses as "
-        "`run --faults`); fault-active windows are excused from "
-        "SLO evaluation",
-    )
+    _add_options(p_slo, "--slo", "--shards", "--faults")
     p_slo.add_argument(
         "--timeline",
         action="store_true",
         help="print the windowed telemetry timeline",
     )
-    p_slo.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Perfetto trace with SLO counter tracks "
-        "(name suffixed per system when several run)",
-    )
-    p_slo.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    p_slo.add_argument(
-        "--out", metavar="PATH", help="also write the JSON report here"
-    )
+    _add_options(p_slo, "--trace", "--json", "--out")
     p_slo.set_defaults(func=cmd_slo)
 
     p_trace = sub.add_parser(
         "trace", help="run with causal tracing and export span trees"
     )
     common(p_trace)
-    p_trace.add_argument(
-        "--system", choices=SYSTEMS, default="redbud-delayed"
-    )
-    p_trace.add_argument(
-        "--out", default="trace.json", help="output path (default %(default)s)"
+    _add_options(
+        p_trace, "--system", "--out",
+        out={"default": "trace.json", "help": "output path (default "
+             "%(default)s)"},
     )
     p_trace.add_argument(
         "--format",
@@ -1372,12 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run with metrics and print the registry"
     )
     common(p_stats)
-    p_stats.add_argument(
-        "--system", choices=SYSTEMS, default="redbud-delayed"
-    )
-    p_stats.add_argument(
-        "--json", action="store_true", help="emit the snapshot as JSON"
-    )
+    _add_options(p_stats, "--system", "--json")
     p_stats.set_defaults(func=cmd_stats)
 
     p_fig = sub.add_parser("figures", help="list figure benches")
@@ -1420,23 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--clients", type=int, default=3)
-    p_check.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards for every explored cluster (default "
-        "%(default)s); >1 adds shard-aware nemesis clauses and the "
-        "cross-shard disjointness oracle",
-    )
-    p_check.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group for every explored cluster "
-        "(default %(default)s); mirror3/block4-2 add disk-loss "
-        "nemesis clauses, CURP witnesses, and the replica-divergence "
-        "oracle",
-    )
+    _add_options(p_check, "--shards", "--replication")
     p_check.add_argument(
         "--mode",
         choices=("synchronous", "delayed", "unordered"),
@@ -1450,20 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="failures to shrink (default %(default)s)",
     )
-    p_check.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately seed a bug (self-test): 'dedup' disables "
-        "the MDS commit dedup table, 'degrade' suppresses the "
-        "delayed->sync reversion",
-    )
-    p_check.add_argument(
-        "--out", metavar="PATH", help="write the JSON report here"
-    )
-    p_check.add_argument(
-        "--json", action="store_true", help="print the JSON report"
-    )
+    _add_options(p_check, "--seed-bug", "--out", "--json")
     p_check.set_defaults(func=cmd_check)
 
     p_soak = sub.add_parser(
@@ -1486,45 +1182,11 @@ def build_parser() -> argparse.ArgumentParser:
         "one action per ~30 virtual seconds)",
     )
     p_soak.add_argument("--clients", type=int, default=4)
-    p_soak.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards; >1 adds shard-partition and "
-        "shard-targeted restart nemesis families",
-    )
-    p_soak.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group; mirror3/block4-2 add the "
-        "disk-loss/readmit nemesis family and the re-silvering "
-        "liveness oracle",
-    )
-    p_soak.add_argument(
-        "--scheduler",
-        choices=("calendar", "heap"),
-        default=None,
-        help="event-calendar implementation (default calendar)",
-    )
-    p_soak.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately plant a bug (self-test): 'degrade' "
-        "suppresses the delayed->sync reversion, which only the "
-        "liveness oracles can see",
-    )
-    p_soak.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the incremental JSONL timeline (inject/heal/"
-        "violation/sweep events + final summary) here",
-    )
-    p_soak.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSONL timeline to stdout",
+    _add_options(
+        p_soak, "--shards", "--replication", "--scheduler", "--seed-bug",
+        "--out", "--json",
+        out={"help": "write the incremental JSONL timeline (inject/heal/"
+             "violation/sweep events + final summary) here"},
     )
     p_soak.set_defaults(func=cmd_soak)
 
@@ -1539,17 +1201,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="./repro-data",
         help="volume file, cluster.json and shard dumps live here",
     )
-    p_serve.add_argument(
-        "--volume-size", type=int, default=256 * 1024 * 1024
-    )
-    p_serve.add_argument("--daemons", type=int, default=4)
-    p_serve.add_argument(
-        "--drop-every",
-        type=int,
-        default=0,
-        help="drop every Nth request frame before delivery (0 = off): "
-        "forces real retransmissions through the retry machinery",
-    )
+    _add_options(p_serve, "--volume-size", "--daemons", "--drop-every")
     p_serve.set_defaults(func=cmd_serve)
 
     p_shard = sub.add_parser(
@@ -1559,11 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--shards", type=int, required=True)
     p_shard.add_argument("--data-dir", required=True)
     p_shard.add_argument("--port", type=int, default=0)
-    p_shard.add_argument(
-        "--volume-size", type=int, default=256 * 1024 * 1024
-    )
-    p_shard.add_argument("--daemons", type=int, default=4)
-    p_shard.add_argument("--drop-every", type=int, default=0)
+    _add_options(p_shard, "--volume-size", "--daemons", "--drop-every")
     p_shard.set_defaults(func=cmd_serve_shard)
 
     p_smoke = sub.add_parser(
@@ -1588,14 +1236,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_smoke.add_argument(
         "--report", metavar="PATH", help="write the JSON report here"
     )
-    p_smoke.add_argument("--json", action="store_true")
+    _add_options(p_smoke, "--json")
     p_smoke.set_defaults(func=cmd_smoke)
     return parser
 
 
 def main(argv: _t.Optional[_t.List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

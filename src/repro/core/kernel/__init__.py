@@ -11,8 +11,8 @@ so the *identical* objects run on the virtual-time calendar
 (:class:`repro.rt.AsyncioEffects`).
 
 Historically these classes lived in ``repro.sim``; that package now
-re-exports them for compatibility, and all protocol code imports from
-here so it carries no dependency on the simulator.
+re-exports them from here, and all protocol code imports from here so
+it carries no dependency on the simulator.
 """
 
 from repro.core.kernel.events import (

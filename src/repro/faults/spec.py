@@ -488,8 +488,8 @@ class FaultSpec:
     ) -> "FaultSpec":
         """Draw a randomized schedule (property-test harness).
 
-        ``rng`` is a ``repro.sim.rng`` stream; every draw is deterministic
-        per seed.  The schedule always exercises all four fault families:
+        ``rng`` is a :class:`~repro.util.rng.StreamRNG` stream; every
+        draw is deterministic per seed.  The schedule always exercises all four fault families:
         background loss + delay, one partition window, one MDS restart,
         and one client death (never the same client as the partition, so
         the partitioned client lives to demonstrate fencing).

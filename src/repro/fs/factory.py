@@ -44,33 +44,19 @@ def build_cluster(
     ``heap`` event calendar).
     """
     shards = config_kw.pop("shards", None)
-    if shards is not None and shards > 1 and not system.startswith(
-        "redbud"
-    ):
-        raise ValueError(
-            f"metadata sharding requires a redbud system, got {system!r}"
-        )
     replication = config_kw.pop("replication", None)
-    if (
-        replication is not None
-        and replication != "none"
-        and not system.startswith("redbud")
-    ):
-        raise ValueError(
-            f"storage replication requires a redbud system, got {system!r}"
-        )
-    if system == "pvfs2":
-        return Pvfs2Cluster(
-            ClusterConfig(
-                num_clients=num_clients,
-                commit_mode="synchronous",
-                **config_kw,
-            ),
-            seed=seed,
-            obs=obs,
-        )
-    if system == "nfs3":
-        return Nfs3Cluster(
+    if system in ("pvfs2", "nfs3"):
+        if shards is not None and shards > 1:
+            raise ValueError(
+                f"metadata sharding requires a redbud system, got {system!r}"
+            )
+        if replication is not None and replication != "none":
+            raise ValueError(
+                f"storage replication requires a redbud system, got "
+                f"{system!r}"
+            )
+        cls = Pvfs2Cluster if system == "pvfs2" else Nfs3Cluster
+        return cls(
             ClusterConfig(
                 num_clients=num_clients,
                 commit_mode="synchronous",
@@ -83,18 +69,14 @@ def build_cluster(
         config = ClusterConfig.original_redbud(
             num_clients=num_clients, **config_kw
         )
-        if shards is not None:
-            config = config.with_shards(shards)
-        if replication is not None:
-            config = config.with_replication(replication)
-        return RedbudCluster(config, seed=seed, obs=obs)
-    if system == "redbud-delayed":
+    elif system == "redbud-delayed":
         config = ClusterConfig.space_delegation_config(
             num_clients=num_clients, **config_kw
         )
-        if shards is not None:
-            config = config.with_shards(shards)
-        if replication is not None:
-            config = config.with_replication(replication)
-        return RedbudCluster(config, seed=seed, obs=obs)
-    raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS}")
+    else:
+        raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS}")
+    if shards is not None:
+        config = config.with_shards(shards)
+    if replication is not None:
+        config = config.with_replication(replication)
+    return RedbudCluster(config, seed=seed, obs=obs)

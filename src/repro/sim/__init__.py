@@ -9,6 +9,11 @@ user-facing idioms from SimPy): an :class:`~repro.sim.engine.Environment`
 owns a heap of scheduled events, and *processes* are Python generators that
 ``yield`` events to suspend until those events fire.
 
+The event, process and resource primitives live in the substrate-neutral
+:mod:`repro.core.kernel` (shared with the asyncio substrate) and
+:class:`StreamRNG` in :mod:`repro.util.rng`; this package adds the
+virtual-time calendar and re-exports the rest for convenience.
+
 Public API
 ----------
 - :class:`Environment` -- the virtual clock and event calendar.
@@ -32,26 +37,25 @@ Example
 [1.5]
 """
 
-from repro.sim.effects import SimEffects
-from repro.sim.engine import Environment, SimulationError
-from repro.sim.events import (
+from repro.core.kernel import (
     AllOf,
     AnyOf,
     Condition,
     ConditionValue,
-    Event,
-    Timeout,
-)
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
     Container,
+    Event,
     FilterStore,
+    Interrupt,
     PriorityItem,
     PriorityStore,
+    Process,
     Resource,
     Store,
+    Timeout,
 )
-from repro.sim.rng import StreamRNG
+from repro.sim.effects import SimEffects
+from repro.sim.engine import Environment, SimulationError
+from repro.util.rng import StreamRNG
 
 __all__ = [
     "AllOf",

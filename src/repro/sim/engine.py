@@ -32,7 +32,7 @@ tests rely on heavily.
 
 Cancelled timeouts
 ------------------
-:meth:`~repro.sim.events.Timeout.cancel` tombstones an entry in place
+:meth:`~repro.core.kernel.events.Timeout.cancel` tombstones an entry in place
 (its callback list becomes ``None``); the pop loops skip tombstones, and
 the environment compacts the scheduler when cancelled entries outnumber
 live ones, so retry/backoff churn cannot bloat the calendar.

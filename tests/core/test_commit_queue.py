@@ -5,7 +5,7 @@ import pytest
 from repro.core.commit_queue import CommitQueue
 from repro.mds.extent import Extent
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 
 def ext(fo, ln=4096, vo=0):

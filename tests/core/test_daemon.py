@@ -13,7 +13,7 @@ from repro.mds.extent import Extent
 from repro.net.link import Link
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 
 def ext(fo=0):

@@ -101,19 +101,19 @@ def test_no_source_level_sim_import_in_protocol_layer():
 
 
 def test_sim_effects_is_the_kernel_environment():
-    """Class identity across the boundary: the sim re-exports are the
-    kernel classes themselves, which is what makes pre/post-refactor
-    traces structurally identical."""
+    """Class identity across the boundary: the ``repro.sim`` package
+    re-exports the kernel classes themselves, which is what makes
+    pre/post-refactor traces structurally identical."""
+    import repro.sim as sim
     from repro.core.effects import Effects
     from repro.core.kernel.events import Event, Timeout
     from repro.sim import Environment
     from repro.sim.effects import SimEffects
-    import repro.sim.events as sim_events
 
     assert issubclass(Environment, Effects)
     assert issubclass(SimEffects, Environment)
-    assert sim_events.Event is Event
-    assert sim_events.Timeout is Timeout
+    assert sim.Event is Event
+    assert sim.Timeout is Timeout
 
 
 def test_lazy_core_exports_resolve():

@@ -11,7 +11,7 @@ from repro.net.link import Link
 from repro.net.messages import CommitPayload
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 
 def ext(fo=0):

@@ -12,7 +12,7 @@ import pytest
 from repro.core.commit_queue import CommitQueue
 from repro.mds.extent import Extent
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 pytestmark = pytest.mark.faults
 

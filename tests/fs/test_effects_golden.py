@@ -4,7 +4,7 @@ The three digests below were recorded on the tree *before* the protocol
 layer was ported from ``repro.sim`` to :class:`repro.core.effects`.
 A fixed-seed workload through :class:`repro.sim.effects.SimEffects`
 must still produce the byte-identical block trace: the kernel move
-preserved class identity (``repro.sim.events.Event`` *is*
+preserved class identity (``repro.sim.Event`` *is*
 ``repro.core.kernel.events.Event``), so any drift here means the
 refactor altered scheduling order or RNG draws, not just module paths.
 """

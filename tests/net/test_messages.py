@@ -13,7 +13,7 @@ from repro.net.messages import (
     RpcMessage,
 )
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 
 def msg(payload, data_bytes=0, reply_data_bytes=0):

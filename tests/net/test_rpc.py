@@ -19,7 +19,7 @@ from repro.net.rpc import (
     RpcTransport,
 )
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment
-from repro.sim.events import ConditionValue
+from repro.core.kernel.events import ConditionValue
 
 
 @pytest.fixture

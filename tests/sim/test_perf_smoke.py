@@ -20,7 +20,7 @@ import pytest
 from repro.fs.factory import build_cluster
 from repro.obs import Instrumentation
 from repro.sim import Environment
-from repro.sim.resources import FilterStore, Store
+from repro.core.kernel.resources import FilterStore, Store
 from repro.workloads.xcdn import XcdnWorkload
 
 # -- synthetic engine workload ---------------------------------------------------

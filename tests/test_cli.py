@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from repro.cli import WORKLOADS, build_parser, main
+from repro.cli import build_parser, main
+from repro.runspec import PRESETS, RunSpec, make_workload
 
 
 def test_parser_builds_and_validates():
@@ -20,10 +23,103 @@ def test_parser_builds_and_validates():
         parser.parse_args([])
 
 
+def _cli_workload_choices():
+    (verbs,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        choice
+        for verb in verbs.choices.values()
+        for action in verb._actions
+        if action.dest == "workload"
+        for choice in action.choices
+    }
+
+
 def test_all_workload_factories_construct():
-    for name, factory in WORKLOADS.items():
-        workload = factory()
+    """Every workload the figure sweeps, the fig3/fig6 benches and the
+    CLI name is an entry of the one preset table, and constructs."""
+    from benchmarks import bench_fig3_overall, bench_fig6_threads
+    from benchmarks.harness import FIGURE_SWEEPS
+
+    named = {cell["workload"] for cells in FIGURE_SWEEPS.values()
+             for cell in cells}
+    named |= set(bench_fig3_overall.WORKLOADS)
+    named |= set(bench_fig6_threads.WORKLOADS)
+    named |= _cli_workload_choices()
+    assert named <= set(PRESETS), named - set(PRESETS)
+    for name in sorted(named | set(PRESETS)):
+        workload = make_workload(name)
         assert workload.threads_per_client >= 1, name
+
+
+REDBUD_ONLY = {
+    "faults": ("loss=0.1", "--faults"),
+    "shards": (2, "--shards"),
+    "replication": ("mirror3", "--replication"),
+    "seed_bug": ("dedup", "--seed-bug"),
+}
+
+
+@pytest.mark.parametrize("system", ["pvfs2", "nfs3"])
+@pytest.mark.parametrize("field", sorted(REDBUD_ONLY))
+def test_runspec_rejects_redbud_only_fields(capsys, system, field):
+    value, flag = REDBUD_ONLY[field]
+    with pytest.raises(ValueError, match=f"^{flag} supports the redbud"):
+        RunSpec(system=system, **{field: value})
+    RunSpec(system="redbud-delayed", **{field: value})
+    code = main(["run", "--system", system, flag, str(value)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} supports the redbud systems only\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, long_step",
+    [
+        (["slo", "--duration", "0.2"], "repro.runspec.RunSpec.run"),
+        (["check", "--budget", "2"], "repro.check.explore"),
+    ],
+    ids=["slo", "check"],
+)
+def test_missing_output_directory_fails_before_the_run(
+    capsys, monkeypatch, tmp_path, argv, long_step
+):
+    # Before the fix the whole run was simulated and then open() raised,
+    # exiting 1 -- the same code as "violation found".
+    def never(*_args, **_kwargs):
+        raise AssertionError("ran before validating --out")
+
+    monkeypatch.setattr(long_step, never)
+    out = tmp_path / "missing" / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out output directory does not exist: {out.parent}" in err
+
+
+#: sha256 of the stdout of ``repro run --clients 3 --duration 0.6
+#: --shards 2 --replication mirror3 --faults 'loss=0.05,mds_restart@0.3:0.1'
+#: --check --json``, recorded before the verbs moved onto RunSpec: faults,
+#: shards, replication and the checker together through the CLI.
+ARMED_RUN_DIGEST = (
+    "bf4653fdb4f69f6173004eb2de0886b77cecc861a855b544e89109b51094c6f3"
+)
+
+
+def test_armed_run_cli_golden(capsys):
+    code = main(
+        [
+            "run", "--clients", "3", "--duration", "0.6",
+            "--shards", "2", "--replication", "mirror3",
+            "--faults", "loss=0.05,mds_restart@0.3:0.1",
+            "--check", "--json",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ARMED_RUN_DIGEST
 
 
 def test_figures_command(capsys):
